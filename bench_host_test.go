@@ -15,6 +15,7 @@
 package phelps_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -235,7 +236,7 @@ func BenchmarkHostQuickMatrixFig12a(b *testing.B) {
 	var retired uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := sim.RunMatrix(sim.GapSpecs(true), configs)
+		m, err := sim.RunMatrixCtx(context.Background(), sim.GapSpecs(true), configs, sim.MatrixOptions{})
 		if err != nil {
 			b.Fatalf("matrix: %v", err)
 		}

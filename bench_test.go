@@ -6,6 +6,7 @@
 package phelps_test
 
 import (
+	"context"
 	"testing"
 
 	"phelps/internal/core"
@@ -59,7 +60,7 @@ func quickGapMatrix(b *testing.B, configs []string) (sim.Matrix, []string) {
 	for i, s := range specs {
 		names[i] = s.Name
 	}
-	m, err := sim.RunMatrix(specs, configs)
+	m, err := sim.RunMatrixCtx(context.Background(), specs, configs, sim.MatrixOptions{})
 	if err != nil {
 		b.Fatalf("matrix: %v", err)
 	}
@@ -148,7 +149,7 @@ func BenchmarkFig14_MispCharacterization(b *testing.B) {
 			names = append(names, s.Name)
 		}
 		var err error
-		m, err = sim.RunMatrix(specs, []string{sim.CfgBase, sim.CfgPhelps})
+		m, err = sim.RunMatrixCtx(context.Background(), specs, []string{sim.CfgBase, sim.CfgPhelps}, sim.MatrixOptions{})
 		if err != nil {
 			b.Fatalf("matrix: %v", err)
 		}

@@ -88,7 +88,7 @@ func main() {
 
 	if *listSpecs {
 		// Registry order (suite by suite), unlike -list's sorted names, so
-		// the listing mirrors what RunMatrix and -explore iterate over.
+		// the listing mirrors what RunMatrixCtx and -explore iterate over.
 		for _, s := range sim.AllSpecs(*quick) {
 			fmt.Printf("%-16s epoch %d\n", s.Name, s.Epoch)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -141,7 +142,7 @@ func runHostBench(jsonPath string) error {
 		configs := []string{sim.CfgBase, sim.CfgPerfect, sim.CfgPhelps, sim.CfgBR, sim.CfgBR12w}
 		timeMatrix := func(forceStep bool) (sim.Matrix, time.Duration, error) {
 			start := time.Now()
-			m, err := sim.RunMatrixOpt(sim.GapSpecs(true), configs, sim.MatrixOptions{ForceStep: forceStep})
+			m, err := sim.RunMatrixCtx(context.Background(), sim.GapSpecs(true), configs, sim.MatrixOptions{ForceStep: forceStep})
 			return m, time.Since(start), err
 		}
 		_, steppedElapsed, err := timeMatrix(true)
@@ -175,7 +176,7 @@ func runHostBench(jsonPath string) error {
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
 		start := time.Now()
-		m, err := sim.RunMatrix(sim.GapSpecs(true), configs)
+		m, err := sim.RunMatrixCtx(context.Background(), sim.GapSpecs(true), configs, sim.MatrixOptions{})
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&ms)
 		if err != nil {

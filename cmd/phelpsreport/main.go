@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -91,14 +92,14 @@ func main() {
 			specNames = append(specNames, s.Name)
 		}
 		fmt.Println("running the GAP+astar matrix...")
-		gapM, gapErr := sim.RunMatrix(gap, []string{
+		gapM, gapErr := sim.RunMatrixCtx(context.Background(), gap, []string{
 			sim.CfgBase, sim.CfgPerfect, sim.CfgPhelps, sim.CfgPhelpsNoStore,
 			sim.CfgBR, sim.CfgBR12w, sim.CfgHalf,
-		})
+		}, sim.MatrixOptions{})
 		fmt.Println("running the SPEC-like matrix...")
-		specM, specErr := sim.RunMatrix(spec, []string{
+		specM, specErr := sim.RunMatrixCtx(context.Background(), spec, []string{
 			sim.CfgBase, sim.CfgPerfect, sim.CfgPhelps, sim.CfgBR, sim.CfgBR12w, sim.CfgHalf,
-		})
+		}, sim.MatrixOptions{})
 		// Failed cells are reported but don't abort the report: the matrix
 		// still carries their metrics, and a partial figure beats none.
 		if gapErr != nil {

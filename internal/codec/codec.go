@@ -4,17 +4,88 @@
 // the Reader is the important half: it is sticky-error and bounds-checked, so
 // a truncated or corrupted byte stream decodes to an error — never a panic —
 // which the checkpoint cache turns into a plain cache miss.
+//
+// It also owns the repo's one checksum (FNV-1a 64, Sum64) and the one sealed
+// envelope every durable file format uses (Seal/Open; see DESIGN.md ·
+// Durable files).
 package codec
 
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 )
 
 // ErrShort reports a read past the end of the buffer (truncation) or a
 // trailing-garbage check failure.
 var ErrShort = errors.New("codec: short or malformed buffer")
+
+// FNV-1a 64 parameters. FNVOffset64 is the empty-input state that Update64
+// and Mix64 chain from; content hashes (sim.HashWorkload, emu HashArch) start
+// there and fold in several components.
+const (
+	FNVOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+// Update64 folds b into the running FNV-1a 64 state h.
+func Update64(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
+}
+
+// Mix64 folds v's eight little-endian bytes into the running FNV-1a 64 state
+// h, without materializing them.
+func Mix64(h, v uint64) uint64 {
+	for s := 0; s < 64; s += 8 {
+		h = (h ^ (v >> s & 0xff)) * fnvPrime64
+	}
+	return h
+}
+
+// Sum64 is the FNV-1a 64 hash of b (equal to hash/fnv.New64a's sum).
+func Sum64(b []byte) uint64 { return Update64(FNVOffset64, b) }
+
+// ErrChecksum reports a sealed blob whose trailing checksum does not match.
+var ErrChecksum = errors.New("codec: checksum mismatch")
+
+// sealOverhead is the envelope's size: magic and schema in front, the
+// checksum behind.
+const sealOverhead = 4 + 4 + 8
+
+// Seal wraps body in the durable-file envelope: magic and schema (u32 each),
+// body, then Sum64 over all of the preceding bytes. Every on-disk format
+// seals its payload, so one flipped bit anywhere fails Open.
+func Seal(magic, schema uint32, body []byte) []byte {
+	b := make([]byte, 0, sealOverhead+len(body))
+	b = U32(b, magic)
+	b = U32(b, schema)
+	b = append(b, body...)
+	return U64(b, Sum64(b))
+}
+
+// Open checks a sealed blob and returns its body, which aliases blob. It
+// rejects, in this order, a blob too short to hold the envelope, a bad
+// checksum, a wrong magic and a schema other than want.
+func Open(blob []byte, magic, schema uint32) ([]byte, error) {
+	if len(blob) < sealOverhead {
+		return nil, fmt.Errorf("codec: sealed blob of %d bytes: %w", len(blob), ErrShort)
+	}
+	end := len(blob) - 8
+	if binary.LittleEndian.Uint64(blob[end:]) != Sum64(blob[:end]) {
+		return nil, ErrChecksum
+	}
+	if m := binary.LittleEndian.Uint32(blob); m != magic {
+		return nil, fmt.Errorf("codec: magic %#x, want %#x", m, magic)
+	}
+	if v := binary.LittleEndian.Uint32(blob[4:]); v != schema {
+		return nil, fmt.Errorf("codec: schema %d, want %d", v, schema)
+	}
+	return blob[8:end], nil
+}
 
 // U64 appends v little-endian.
 func U64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }

@@ -30,6 +30,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"phelps/internal/codec"
 )
 
 const (
@@ -363,18 +365,10 @@ func (m *Memory) HashArch() uint64 {
 		pns = append(pns, pn)
 	}
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := codec.FNVOffset64
 	for _, pn := range pns {
-		for s := 0; s < 64; s += 8 {
-			h = (h ^ (pn >> s & 0xff)) * prime64
-		}
-		for _, b := range m.pages[pn] {
-			h = (h ^ uint64(b)) * prime64
-		}
+		h = codec.Mix64(h, pn)
+		h = codec.Update64(h, m.pages[pn][:])
 	}
 	return h
 }

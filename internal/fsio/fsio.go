@@ -13,13 +13,15 @@
 //   - bit-rot: reads succeed but one byte has silently flipped.
 //
 // Production code always uses OS (the thinnest possible veneer over the os
-// package); FaultFS exists for tests and chaos harnesses.
+// package); FaultFS exists for tests and chaos harnesses. WriteAtomic is the
+// one way any of them replaces a whole file.
 package fsio
 
 import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -67,6 +69,33 @@ func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(old
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
+
+// WriteAtomic replaces path with data so that a reader of path sees either
+// the old file or all of data, even across a crash: it writes a temp file in
+// path's directory, fsyncs and closes it, then renames it over path. On any
+// failure the temp file is removed, path is untouched, and the first error
+// is returned.
+func WriteAtomic(fsys FS, path string, data []byte) error {
+	tmp, err := fsys.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if serr := tmp.Sync(); err == nil {
+		err = serr
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		// Best effort: the caller needs the first error, not the cleanup's.
+		_ = fsys.Remove(tmp.Name())
+	}
+	return err
+}
 
 // FaultFS wraps an FS and injects disk faults on demand. The zero value with
 // Under set behaves exactly like the wrapped FS; faults are armed by the

@@ -161,3 +161,86 @@ func TestFaultFSConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// armFS arms its FaultFS's ENOSPC from inside WriteAtomic's sequence, so a
+// fault can hit one step after the earlier steps succeeded: "create" arms
+// once the temp file exists (the data write fails), "sync" arms when the
+// temp file is synced (only the rename fails).
+type armFS struct {
+	FS
+	ffs  *FaultFS
+	step string
+}
+
+func (a armFS) CreateTemp(dir, pattern string) (File, error) {
+	f, err := a.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	if a.step == "create" {
+		a.ffs.FailWrites(ErrNoSpace)
+	}
+	return armFile{f, a}, nil
+}
+
+type armFile struct {
+	File
+	a armFS
+}
+
+func (f armFile) Sync() error {
+	if f.a.step == "sync" {
+		f.a.ffs.FailWrites(ErrNoSpace)
+	}
+	return f.File.Sync()
+}
+
+// TestWriteAtomic drives WriteAtomic over a live file through each disk
+// fault. A failed step leaves the live file untouched and no temp file
+// behind. A torn write reports success to the writer, so WriteAtomic
+// renames the torn bytes into place; the sealed envelope (codec.Open) is
+// what rejects them on the next read.
+func TestWriteAtomic(t *testing.T) {
+	const old, data = "old contents", "0123456789abcdef"
+	for _, tc := range []struct {
+		name     string
+		arm      func(ffs *FaultFS)
+		step     string // armFS step, "" for none
+		wantErr  bool
+		wantLive string
+	}{
+		{name: "ok", wantLive: data},
+		{name: "enospc-create", arm: func(f *FaultFS) { f.FailWrites(ErrNoSpace) }, wantErr: true, wantLive: old},
+		{name: "enospc-write", step: "create", wantErr: true, wantLive: old},
+		{name: "rename-fails", step: "sync", wantErr: true, wantLive: old},
+		{name: "torn", arm: func(f *FaultFS) { f.TornWrites(true) }, wantLive: data[:len(data)/2]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "live")
+			if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ffs := &FaultFS{}
+			if tc.step != "" {
+				ffs.Under = armFS{FS: OS, ffs: ffs, step: tc.step}
+			}
+			if tc.arm != nil {
+				tc.arm(ffs)
+			}
+			err := WriteAtomic(ffs, path, []byte(data))
+			if tc.wantErr && !errors.Is(err, ErrNoSpace) {
+				t.Errorf("err = %v, want ENOSPC", err)
+			}
+			if !tc.wantErr && err != nil {
+				t.Errorf("err = %v, want nil", err)
+			}
+			if got, _ := os.ReadFile(path); string(got) != tc.wantLive {
+				t.Errorf("live file = %q, want %q", got, tc.wantLive)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmps) != 0 {
+				t.Errorf("temp files left behind: %v", tmps)
+			}
+		})
+	}
+}

@@ -1,10 +1,5 @@
 package obs
 
-import (
-	"encoding/json"
-	"os"
-)
-
 // HostBenchSchema versions the BENCH_host.json layout; bump it when a field
 // changes meaning so trajectory-diffing tools can tell.
 //
@@ -38,8 +33,8 @@ const HostBenchSchema = 6
 // comparable between CI benches and the recorded artifact. The format is
 // documented in EXPERIMENTS.md.
 type HostBenchReport struct {
-	Schema    int              `json:"schema"`
-	GoVersion string           `json:"go_version"`
+	Schema    int    `json:"schema"`
+	GoVersion string `json:"go_version"`
 	// NumCPU is the logical core count of the host the measurements were
 	// taken on, recorded so later merges on other machines can annotate
 	// entries against the measurement host, not the merging one. Zero in
@@ -81,10 +76,4 @@ func (h *HostBenchReport) Add(e HostBenchEntry) {
 }
 
 // WriteFile writes the report as indented JSON to path.
-func (h *HostBenchReport) WriteFile(path string) error {
-	data, err := json.MarshalIndent(h, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func (h *HostBenchReport) WriteFile(path string) error { return writeJSON(path, h) }

@@ -2,7 +2,8 @@ package obs
 
 import (
 	"encoding/json"
-	"os"
+
+	"phelps/internal/fsio"
 )
 
 // BenchReportSchema versions the BENCH_report.json layout; bump it when a
@@ -51,10 +52,15 @@ func (b *BenchReport) AddGeomean(name string, v float64) {
 }
 
 // WriteFile writes the report as indented JSON to path.
-func (b *BenchReport) WriteFile(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
+func (b *BenchReport) WriteFile(path string) error { return writeJSON(path, b) }
+
+// writeJSON replaces path with v as indented JSON through fsio.WriteAtomic,
+// so an interrupted run (phelpsreport -explore read-merge-writes the
+// committed BENCH_host.json) leaves the old file, not a truncated one.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return fsio.WriteAtomic(fsio.OS, path, append(data, '\n'))
 }

@@ -17,14 +17,13 @@
 // any GOMAXPROCS — serializes to byte-identical bytes, which the
 // determinism tests assert.
 //
-// Serialization follows the checkpoint-cache idiom (sim.CkptCache): a
-// magic, a schema version, the full model body, and a trailing whole-file
-// FNV-1a checksum. Truncation, corruption, or version skew decode to an
-// error, never a panic and never a silently wrong model.
+// Serialization seals the model body in the codec envelope (magic, schema
+// version, trailing whole-blob checksum), like every durable format in the
+// repo. Truncation, corruption, or version skew decode to an error, never a
+// panic and never a silently wrong model.
 package perfmodel
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -38,12 +37,6 @@ const modelSchema = 1
 
 // modelMagic identifies model blobs ("PPM1").
 const modelMagic uint32 = 0x50504d31
-
-// FNV-1a parameters (the same constants the sim checkpoint cache uses).
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
 
 // Sample is one training example: a feature vector and the cycle-accurate
 // ground truth it maps to.
@@ -386,13 +379,9 @@ func bestSplit(xs [][]float64, resid []float64, rows []int, minLeaf int) (feat i
 	return feat, thresh, ok
 }
 
-// Append serializes the model (magic, schema, config, features, both
-// ensembles, trailing whole-blob FNV-1a checksum), mirroring the checkpoint
-// cache's artifact format.
-func (m *Model) Append(b []byte) []byte {
-	start := len(b)
-	b = codec.U32(b, modelMagic)
-	b = codec.U32(b, modelSchema)
+// Append appends the sealed model (config, features, both ensembles) to dst.
+func (m *Model) Append(dst []byte) []byte {
+	var b []byte
 	b = codec.U32(b, uint32(m.cfg.Rounds))
 	b = codec.U32(b, uint32(m.cfg.Depth))
 	b = codec.F64(b, m.cfg.LearnRate)
@@ -419,35 +408,18 @@ func (m *Model) Append(b []byte) []byte {
 			}
 		}
 	}
-	sum := uint64(fnvOffset)
-	for _, by := range b[start:] {
-		sum = (sum ^ uint64(by)) * fnvPrime
-	}
-	return codec.U64(b, sum)
+	return append(dst, codec.Seal(modelMagic, modelSchema, b)...)
 }
 
-// Decode parses and validates a serialized model: checksum, magic, schema,
-// and structural bounds (feature indices and child links in range). Any
-// failure is an error — never a panic, never a silently wrong model.
+// Decode parses and validates a serialized model: envelope and structural
+// bounds (feature indices and child links in range). Any failure is an
+// error — never a panic, never a silently wrong model.
 func Decode(b []byte) (*Model, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("perfmodel: model blob: %d bytes", len(b))
-	}
-	body, tail := b[:len(b)-8], b[len(b)-8:]
-	sum := uint64(fnvOffset)
-	for _, by := range body {
-		sum = (sum ^ uint64(by)) * fnvPrime
-	}
-	if got := binary.LittleEndian.Uint64(tail); got != sum {
-		return nil, fmt.Errorf("perfmodel: model checksum mismatch")
+	body, err := codec.Open(b, modelMagic, modelSchema)
+	if err != nil {
+		return nil, fmt.Errorf("perfmodel: model: %w", err)
 	}
 	r := codec.NewReader(body)
-	if m := r.U32(); m != modelMagic {
-		return nil, fmt.Errorf("perfmodel: model magic %#x", m)
-	}
-	if v := r.U32(); v != modelSchema {
-		return nil, fmt.Errorf("perfmodel: model schema %d, want %d", v, modelSchema)
-	}
 	m := &Model{}
 	m.cfg.Rounds = int(r.U32())
 	m.cfg.Depth = int(r.U32())

@@ -2,6 +2,8 @@ package perfmodel
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -65,6 +67,17 @@ func TestTrainRoundTripAndQuality(t *testing.T) {
 	}
 	if !bytes.Equal(blob, m2.Append(nil)) {
 		t.Error("re-encoded model differs from original bytes")
+	}
+
+	// The PPM1 layout is pinned byte for byte: a change to the envelope or
+	// the body encoding shows up here, not as a silently unreadable blob.
+	small, err := Train(synth(40), testFeatures, Config{Rounds: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pin = "09af8b878af487064c4e95caea7a1cf9701eb6a45c9f9b44ad184db612b637d2"
+	if got := fmt.Sprintf("%x", sha256.Sum256(small.Append(nil))); got != pin {
+		t.Errorf("model blob sha256 = %s, want %s", got, pin)
 	}
 }
 

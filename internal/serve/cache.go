@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"phelps/internal/codec"
 	"phelps/internal/fsio"
 	"phelps/internal/sim"
 )
@@ -26,9 +26,13 @@ type CellKey struct {
 	Flags        string `json:"flags,omitempty"`
 }
 
-// cacheSchema versions the persisted cache file; a mismatch discards the
-// file (results are always recomputable).
-const cacheSchema = 1
+// The persisted cache file is cacheFile as JSON, sealed in the codec
+// envelope under cacheMagic ("PRC1") and cacheSchema. A checksum, magic or
+// schema mismatch discards the file (results are always recomputable).
+const (
+	cacheMagic  uint32 = 0x50524331
+	cacheSchema uint32 = 1
+)
 
 // ResultCache is the daemon's completed-cell store: key -> verified
 // sim.Result. Entries are treated as immutable once inserted — readers share
@@ -105,9 +109,8 @@ func (c *ResultCache) LoadErrors() uint64 { return c.loadErrs.Load() }
 func (c *ResultCache) Saves() uint64      { return c.saves.Load() }
 func (c *ResultCache) SaveErrors() uint64 { return c.saveErrs.Load() }
 
-// cacheFile is the persisted JSON layout.
+// cacheFile is the persisted JSON layout (the envelope carries the schema).
 type cacheFile struct {
-	Schema  int          `json:"schema"`
 	Entries []cacheEntry `json:"entries"`
 }
 
@@ -116,14 +119,14 @@ type cacheEntry struct {
 	Result *sim.Result `json:"result"`
 }
 
-// SaveFile persists the cache as JSON (atomically: unique temp file + rename,
-// so concurrent savers and a crash mid-write can never leave a half-written
+// SaveFile persists the cache as sealed JSON with fsio.WriteAtomic (so
+// concurrent savers and a crash mid-write can never leave a half-written
 // cache under the live name), so a drained daemon's successor starts warm.
 // Failures are counted (SaveErrors) as well as returned.
 func (c *ResultCache) SaveFile(path string) error {
 	c.saves.Add(1)
 	c.mu.Lock()
-	f := cacheFile{Schema: cacheSchema, Entries: make([]cacheEntry, 0, len(c.entries))}
+	f := cacheFile{Entries: make([]cacheEntry, 0, len(c.entries))}
 	for k, r := range c.entries {
 		f.Entries = append(f.Entries, cacheEntry{Key: k, Result: r})
 	}
@@ -133,30 +136,7 @@ func (c *ResultCache) SaveFile(path string) error {
 		c.saveErrs.Add(1)
 		return fmt.Errorf("serve: encode cache: %w", err)
 	}
-	err = func() error {
-		tmp, err := c.fs.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-		if err != nil {
-			return err
-		}
-		_, werr := tmp.Write(data)
-		serr := tmp.Sync()
-		cerr := tmp.Close()
-		if werr != nil || serr != nil || cerr != nil {
-			c.fs.Remove(tmp.Name())
-			if werr != nil {
-				return werr
-			}
-			if serr != nil {
-				return serr
-			}
-			return cerr
-		}
-		if err := c.fs.Rename(tmp.Name(), path); err != nil {
-			c.fs.Remove(tmp.Name())
-			return err
-		}
-		return nil
-	}()
+	err = fsio.WriteAtomic(c.fs, path, codec.Seal(cacheMagic, cacheSchema, data))
 	if err != nil {
 		c.saveErrs.Add(1)
 	}
@@ -164,9 +144,10 @@ func (c *ResultCache) SaveFile(path string) error {
 }
 
 // LoadFile merges a persisted cache into this one. A missing file is not an
-// error (first boot); a corrupt, truncated, or schema-mismatched file is a
-// counted miss (LoadErrors) and an error return, leaving the cache usable —
-// every entry is recomputable, so degradation never blocks serving.
+// error (first boot); a corrupt, truncated, or schema-mismatched file — and a
+// pre-envelope JSON cache, which fails the magic check — is a counted miss
+// (LoadErrors) and an error return, leaving the cache usable — every entry
+// is recomputable, so degradation never blocks serving.
 func (c *ResultCache) LoadFile(path string) error {
 	data, err := c.fs.ReadFile(path)
 	if err != nil {
@@ -176,14 +157,15 @@ func (c *ResultCache) LoadFile(path string) error {
 		c.loadErrs.Add(1)
 		return err
 	}
+	body, err := codec.Open(data, cacheMagic, cacheSchema)
+	if err != nil {
+		c.loadErrs.Add(1)
+		return fmt.Errorf("serve: cache %s discarded: %w", path, err)
+	}
 	var f cacheFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	if err := json.Unmarshal(body, &f); err != nil {
 		c.loadErrs.Add(1)
 		return fmt.Errorf("serve: decode cache %s: %w", path, err)
-	}
-	if f.Schema != cacheSchema {
-		c.loadErrs.Add(1)
-		return fmt.Errorf("serve: cache %s has schema %d, want %d (discarded)", path, f.Schema, cacheSchema)
 	}
 	c.mu.Lock()
 	for _, e := range f.Entries {

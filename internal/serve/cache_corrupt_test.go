@@ -1,20 +1,23 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"phelps/internal/codec"
 	"phelps/internal/fsio"
 	"phelps/internal/sim"
 )
 
-// writeCacheFile persists a minimal valid cache file with n entries.
-func writeCacheFile(t *testing.T, path string, schema, n int) {
+// writeCacheFile persists a minimal valid cache file with n entries, sealed
+// under the given schema.
+func writeCacheFile(t *testing.T, path string, schema uint32, n int) {
 	t.Helper()
-	f := cacheFile{Schema: schema}
+	var f cacheFile
 	for i := 0; i < n; i++ {
 		f.Entries = append(f.Entries, cacheEntry{
 			Key:    CellKey{WorkloadHash: uint64(i + 1), Config: sim.CfgBase},
@@ -25,13 +28,13 @@ func writeCacheFile(t *testing.T, path string, schema, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, codec.Seal(cacheMagic, schema, data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestResultCacheCorruption loads truncated, garbage, and version-skewed
-// cache files: each must be a counted miss (LoadErrors) leaving the cache
+// TestResultCacheCorruption loads truncated, bit-flipped, garbage, and
+// version-skewed cache files: each must be a counted miss (LoadErrors) leaving the cache
 // empty but fully usable — never a crash or a poisoned entry.
 func TestResultCacheCorruption(t *testing.T) {
 	t.Parallel()
@@ -43,11 +46,22 @@ func TestResultCacheCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// One low bit flipped inside a JSON digit keeps the JSON valid (Cycles
+	// 100 reads back as 101): only the file checksum can catch it.
+	const digits = `"Cycles":100`
+	at := bytes.Index(gdata, []byte(digits))
+	if at < 0 {
+		t.Fatalf("saved cache has no %s", digits)
+	}
+	flipped := append([]byte(nil), gdata...)
+	flipped[at+len(digits)-1] ^= 1
+
 	cases := []struct {
 		name string
 		data []byte
 	}{
 		{"truncated", gdata[:len(gdata)/2]},
+		{"digit-bit-flip", flipped},
 		{"garbage", []byte("\x00\xffnot json either\x13")},
 		{"empty", nil},
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -123,7 +124,7 @@ func TestChaosKillRestart(t *testing.T) {
 		}
 		specs = append(specs, sp)
 	}
-	want, err := sim.RunMatrixOpt(specs, configs, sim.MatrixOptions{CrashDir: t.TempDir()})
+	want, err := sim.RunMatrixCtx(context.Background(), specs, configs, sim.MatrixOptions{CrashDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("direct matrix: %v", err)
 	}

@@ -11,12 +11,13 @@ package serve
 // cache or deterministically recomputes the same numbers.
 //
 // Format: one file (journal.wal) holding a header (magic + schema) followed
-// by length-framed records, each a JSON payload with a trailing FNV-1a
+// by length-framed records, each a JSON payload with a trailing codec.Sum64
 // checksum. A record is written with a single Write call, so a torn write
 // tears inside one record and the checksum catches it: replay stops at the
 // first bad frame and compaction drops the torn tail. Completed jobs are
 // compacted away — at boot, and inline whenever enough finished jobs
-// accumulate — by atomically rewriting the file with only live-job records.
+// accumulate — by rewriting the file with only live-job records through
+// fsio.WriteAtomic.
 //
 // Degradation: journal I/O failures (ENOSPC, torn writes, bit-rot) are
 // counted (serve.journal.errors) and never crash or block serving — the
@@ -31,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"phelps/internal/codec"
 	"phelps/internal/fsio"
 )
 
@@ -164,7 +166,7 @@ func OpenJournal(fs fsio.FS, dir string) *Journal {
 func (j *Journal) replay() {
 	data, err := j.fs.ReadFile(j.path)
 	if err != nil {
-		if !isNotExist(err) {
+		if !os.IsNotExist(err) {
 			j.errs.Add(1)
 		}
 		return
@@ -195,11 +197,7 @@ func (j *Journal) replay() {
 			break
 		}
 		payload := data[off+4 : off+4+n]
-		sum := uint64(fnvOffset64)
-		for _, b := range payload {
-			sum = (sum ^ uint64(b)) * fnvPrime64
-		}
-		if binary.LittleEndian.Uint64(data[off+4+n:]) != sum {
+		if binary.LittleEndian.Uint64(data[off+4+n:]) != codec.Sum64(payload) {
 			j.truncated.Add(1)
 			break
 		}
@@ -281,19 +279,11 @@ func (j *Journal) Resumed() []ResumedJob {
 // append frames and writes one record. Failures are counted and swallowed:
 // the journal degrades, the daemon serves on.
 func (j *Journal) append(rec *journalRecord, sync bool) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
+	frame := appendFrame(nil, rec)
+	if frame == nil {
 		j.errs.Add(1)
 		return
 	}
-	frame := make([]byte, 0, 4+len(payload)+8)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	sum := uint64(fnvOffset64)
-	for _, b := range payload {
-		sum = (sum ^ uint64(b)) * fnvPrime64
-	}
-	frame = binary.LittleEndian.AppendUint64(frame, sum)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -344,8 +334,8 @@ func (j *Journal) JobDone(jobID string) {
 }
 
 // compactLocked rewrites the journal with only live (incomplete) jobs —
-// their accept plus the latest state of each non-pending cell — atomically
-// (temp + rename), then reopens the append handle. Called with j.mu held.
+// their accept plus the latest state of each non-pending cell — with
+// fsio.WriteAtomic, then reopens the append handle. Called with j.mu held.
 func (j *Journal) compactLocked() {
 	var buf []byte
 	buf = binary.LittleEndian.AppendUint32(buf, journalMagic)
@@ -382,24 +372,7 @@ func (j *Journal) compactLocked() {
 		_ = j.f.Close()
 		j.f = nil
 	}
-	ok := func() bool {
-		tmp, err := j.fs.CreateTemp(filepath.Dir(j.path), journalFile+".tmp*")
-		if err != nil {
-			return false
-		}
-		_, werr := tmp.Write(buf)
-		serr := tmp.Sync()
-		cerr := tmp.Close()
-		if werr != nil || serr != nil || cerr != nil {
-			j.fs.Remove(tmp.Name())
-			return false
-		}
-		if err := j.fs.Rename(tmp.Name(), j.path); err != nil {
-			j.fs.Remove(tmp.Name())
-			return false
-		}
-		return true
-	}()
+	ok := fsio.WriteAtomic(j.fs, j.path, buf) == nil
 	if !ok {
 		j.errs.Add(1)
 	} else {
@@ -421,8 +394,9 @@ func (j *Journal) compactLocked() {
 	}
 }
 
-// appendFrame appends one framed record to buf (marshal errors cannot occur
-// for journalRecord — all fields are marshalable — but are dropped defensively).
+// appendFrame appends one framed record to buf: payload length, JSON
+// payload, checksum. Marshal errors cannot occur for journalRecord — all
+// fields are marshalable — but are dropped defensively, returning buf as is.
 func appendFrame(buf []byte, rec *journalRecord) []byte {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -430,11 +404,7 @@ func appendFrame(buf []byte, rec *journalRecord) []byte {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)
-	sum := uint64(fnvOffset64)
-	for _, b := range payload {
-		sum = (sum ^ uint64(b)) * fnvPrime64
-	}
-	return binary.LittleEndian.AppendUint64(buf, sum)
+	return binary.LittleEndian.AppendUint64(buf, codec.Sum64(payload))
 }
 
 // Close flushes and closes the journal file.
@@ -482,13 +452,3 @@ func (j *Journal) Compactions() uint64  { return j.compactions.Load() }
 func (j *Journal) Errors() uint64       { return j.errs.Load() }
 func (j *Journal) ResumedJobs() uint64  { return j.resumedJobs.Load() }
 func (j *Journal) ResumedCells() uint64 { return j.resumedCells.Load() }
-
-// FNV-1a constants (the serve package's stores checksum with the same hash
-// as the sim ckpt cache).
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// isNotExist matches fs.ErrNotExist through fsio wrappers.
-func isNotExist(err error) bool { return os.IsNotExist(err) }

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -58,6 +60,53 @@ func TestJournalRoundTrip(t *testing.T) {
 	defer j3.Close()
 	if got := j3.Resumed(); len(got) != 0 {
 		t.Errorf("completed job survived compaction: %+v", got)
+	}
+}
+
+// TestJournalReplaysOlderFile replays testdata/journal_parent.wal, a journal
+// written by the previous release's code (one finished job, one canceled
+// job, two live jobs with running, done, failed and pending cells). The
+// format is unversioned by release, so acknowledged jobs must survive an
+// upgrade: every record replays and the same jobs resume.
+func TestJournalReplaysOlderFile(t *testing.T) {
+	t.Parallel()
+	data, err := os.ReadFile(filepath.Join("testdata", "journal_parent.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ResumedJob{
+		{ID: "j-000002",
+			Req: JobRequest{Workloads: []string{"guarded", "delinquent"},
+				Configs: []string{sim.CfgBase, sim.CfgPhelps}, Quick: true},
+			Cells: []ResumedCell{
+				{State: CellDone, Attempt: 1},
+				{State: CellRunning, Attempt: 2},
+				{State: CellFailed, Attempt: 1, Error: "boom: deterministic", Perm: true},
+				{State: CellPending},
+			}},
+		{ID: "j-000004",
+			Req:   JobRequest{Workloads: []string{"nested"}, Configs: []string{sim.CfgBR}, Quick: true},
+			Cells: []ResumedCell{{State: CellPending}}},
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The second open replays the file the first one compacted.
+	for round := 0; round < 2; round++ {
+		j := OpenJournal(fsio.OS, dir)
+		if round == 0 && j.Replayed() != 12 {
+			t.Errorf("replayed %d records, want 12", j.Replayed())
+		}
+		if j.Truncated() != 0 || j.Errors() != 0 {
+			t.Errorf("round %d: truncated=%d errors=%d, want 0/0", round, j.Truncated(), j.Errors())
+		}
+		if got := j.Resumed(); !reflect.DeepEqual(got, want) {
+			t.Errorf("round %d: resumed %+v\nwant %+v", round, got, want)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -235,7 +284,7 @@ func TestResumedJobBitIdentical(t *testing.T) {
 		}
 		specs = append(specs, sp)
 	}
-	want, err := sim.RunMatrixOpt(specs, configs, sim.MatrixOptions{CrashDir: t.TempDir()})
+	want, err := sim.RunMatrixCtx(context.Background(), specs, configs, sim.MatrixOptions{CrashDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func blockWorkers(s *Server) (release func()) {
 }
 
 // TestJobMatchesDirectRun submits a small quick job over HTTP and requires
-// every cell to be bit-identical to a direct sim.RunMatrixOpt sweep of the
+// every cell to be bit-identical to a direct sim.RunMatrixCtx sweep of the
 // same cells: the daemon must be a transport, never a perturbation.
 func TestJobMatchesDirectRun(t *testing.T) {
 	t.Parallel()
@@ -133,7 +133,7 @@ func TestJobMatchesDirectRun(t *testing.T) {
 		}
 		specs = append(specs, sp)
 	}
-	want, err := sim.RunMatrixOpt(specs, configs, sim.MatrixOptions{CrashDir: t.TempDir()})
+	want, err := sim.RunMatrixCtx(context.Background(), specs, configs, sim.MatrixOptions{CrashDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("direct matrix: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestFullQuickMatrixOverHTTP(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	total := 0
 	for si, su := range suites {
-		want, err := sim.RunMatrixOpt(su.specs, su.configs, sim.MatrixOptions{CrashDir: t.TempDir()})
+		want, err := sim.RunMatrixCtx(context.Background(), su.specs, su.configs, sim.MatrixOptions{CrashDir: t.TempDir()})
 		if err != nil {
 			t.Fatalf("direct matrix: %v", err)
 		}

@@ -536,7 +536,7 @@ func (s *Server) faultTask(j *Job, c *Cell, spec sim.Spec) func() {
 }
 
 // execCell is the one place a daemon cell meets the sim library: the full
-// cycle-accurate per-cell runner (bit-identical to a RunMatrixOpt cell) or
+// cycle-accurate per-cell runner (bit-identical to a RunMatrixCtx cell) or
 // the SimPoint-sampled pipeline, both under the flight/job context and with
 // per-cell panic/stall containment.
 func (s *Server) execCell(ctx context.Context, spec sim.Spec, cfgName string, req JobRequest, fault *cpu.FaultInjection) (sim.Result, error) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -93,7 +94,7 @@ func TestLockstepQuickMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full verified matrix is not a -short test")
 	}
-	_, err := RunMatrixOpt(GapSpecs(true), []string{CfgBase, CfgPhelps, CfgBR},
+	_, err := RunMatrixCtx(context.Background(), GapSpecs(true), []string{CfgBase, CfgPhelps, CfgBR},
 		MatrixOptions{Checks: true, Lockstep: true, CrashDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("verified quick matrix reported failures:\n%v", err)
@@ -182,7 +183,7 @@ func TestMatrixPanicContainment(t *testing.T) {
 		w.Prog.Entry = 0 // outside the code image: the first Step panics
 		return w
 	}}
-	m, err := RunMatrixOpt([]Spec{good, boom}, []string{CfgBase, CfgPhelps},
+	m, err := RunMatrixCtx(context.Background(), []Spec{good, boom}, []string{CfgBase, CfgPhelps},
 		MatrixOptions{CrashDir: crashDir})
 	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("panicking cell did not surface ErrPanic: %v", err)

@@ -17,15 +17,14 @@ package sim
 // cold run that wrote them. The leaf codecs are exact (see their round-trip
 // tests), so cache on or off is bit-identical too.
 //
-// Robustness: files are written atomically (temp + rename) and carry a
-// magic, a schema version, the full key, and a trailing FNV-1a checksum.
-// Truncation, corruption, version skew, or a filename-hash collision all
-// decode to a cache miss (counted in Errors), never a crash and never a
-// wrong artifact.
+// Robustness: files are written with fsio.WriteAtomic and sealed in the
+// codec envelope (magic, schema version, trailing checksum), with the full
+// key first in the body. Truncation, corruption, version skew, or a
+// filename-hash collision all decode to a cache miss (counted in Errors),
+// never a crash and never a wrong artifact.
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -90,9 +89,9 @@ func (k CkptKey) fields() [10]uint64 {
 // also stored inside the file and compared on load, so a filename-hash
 // collision degrades to a miss, not a wrong artifact.
 func (k CkptKey) fileName() string {
-	h := uint64(fnvOffset)
+	h := codec.FNVOffset64
 	for _, v := range k.fields() {
-		h = fnvMix(h, v)
+		h = codec.Mix64(h, v)
 	}
 	return fmt.Sprintf("%016x.ckpt", h)
 }
@@ -171,12 +170,9 @@ type ckptArtifact struct {
 	cks         []*emu.Checkpoint // one per point, in points order
 }
 
-// appendArtifact serializes an artifact (with its key and a trailing
-// checksum) for disk.
-func appendArtifact(b []byte, key CkptKey, art *ckptArtifact) []byte {
-	start := len(b)
-	b = codec.U32(b, ckptArtifactMagic)
-	b = codec.U32(b, ckptSchema)
+// encodeArtifact serializes an artifact and its key, sealed for disk.
+func encodeArtifact(key CkptKey, art *ckptArtifact) []byte {
+	var b []byte
 	for _, v := range key.fields() {
 		b = codec.U64(b, v)
 	}
@@ -199,37 +195,20 @@ func appendArtifact(b []byte, key CkptKey, art *ckptArtifact) []byte {
 		}
 		b = emu.EncodeCheckpoints(b, art.cks)
 	}
-	// Whole-file FNV-1a checksum: catches bit flips anywhere above, which
-	// field-level bounds checks alone would miss (e.g. inside page data).
-	sum := uint64(fnvOffset)
-	for _, by := range b[start:] {
-		sum = (sum ^ uint64(by)) * fnvPrime
-	}
-	return codec.U64(b, sum)
+	// The envelope's whole-file checksum catches bit flips anywhere above,
+	// which field-level bounds checks alone would miss (e.g. inside page data).
+	return codec.Seal(ckptArtifactMagic, ckptSchema, b)
 }
 
-// decodeArtifact parses and validates an artifact blob: magic, schema,
-// checksum, embedded key (must equal want), and structural bounds. Any
-// failure is an error — the cache treats it as a miss.
+// decodeArtifact parses and validates an artifact blob: envelope, embedded
+// key (must equal want), and structural bounds. Any failure is an error —
+// the cache treats it as a miss.
 func decodeArtifact(b []byte, want CkptKey) (*ckptArtifact, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("sim: ckpt artifact: %d bytes", len(b))
-	}
-	body, tail := b[:len(b)-8], b[len(b)-8:]
-	sum := uint64(fnvOffset)
-	for _, by := range body {
-		sum = (sum ^ uint64(by)) * fnvPrime
-	}
-	if got := binary.LittleEndian.Uint64(tail); got != sum {
-		return nil, fmt.Errorf("sim: ckpt artifact checksum mismatch")
+	body, err := codec.Open(b, ckptArtifactMagic, ckptSchema)
+	if err != nil {
+		return nil, fmt.Errorf("sim: ckpt artifact: %w", err)
 	}
 	r := codec.NewReader(body)
-	if m := r.U32(); m != ckptArtifactMagic {
-		return nil, fmt.Errorf("sim: ckpt artifact magic %#x", m)
-	}
-	if v := r.U32(); v != ckptSchema {
-		return nil, fmt.Errorf("sim: ckpt artifact schema %d, want %d", v, ckptSchema)
-	}
 	var got CkptKey
 	fields := []*uint64{&got.Workload, &got.IntervalLen, &got.K, &got.Warmup, &got.FuncWarm,
 		&got.MinIntervals, &got.Seed, &got.ProfileCap, &got.Predictor, &got.CacheCfg}
@@ -287,7 +266,7 @@ const ckptMemEntries = 8
 // CkptCache is a persistent, process-shared checkpoint cache rooted at a
 // directory, with a small in-memory layer of decoded artifacts on top. Safe
 // for concurrent use; phelpsd shares one across its scheduler workers, and
-// sweeps (RunMatrixOpt with MatrixOptions.Sample) share one across cells.
+// sweeps (RunMatrixCtx with MatrixOptions.Sample) share one across cells.
 type CkptCache struct {
 	dir string
 	fs  fsio.FS
@@ -384,9 +363,9 @@ func (c *CkptCache) Load(ctx context.Context, key CkptKey) (*ckptArtifact, error
 	return art, nil
 }
 
-// Store writes the encoded artifact atomically (temp file + rename, so a
-// crashed or concurrent writer never leaves a torn file) and remembers the
-// decoded form in memory. Disk failures are counted and swallowed — a run
+// Store writes the encoded artifact with fsio.WriteAtomic (so a crashed or
+// concurrent writer never leaves a torn file) and remembers the decoded form
+// in memory. Disk failures are counted and swallowed — a run
 // that computed its checkpoints proceeds regardless — but context
 // cancellation is returned.
 func (c *CkptCache) Store(ctx context.Context, key CkptKey, art *ckptArtifact, blob []byte) error {
@@ -398,20 +377,7 @@ func (c *CkptCache) Store(ctx context.Context, key CkptKey, art *ckptArtifact, b
 		c.errs.Add(1)
 		return nil
 	}
-	tmp, err := c.fs.CreateTemp(c.dir, key.fileName()+".tmp*")
-	if err != nil {
-		c.errs.Add(1)
-		return nil
-	}
-	_, werr := tmp.Write(blob)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		c.fs.Remove(tmp.Name())
-		c.errs.Add(1)
-		return nil
-	}
-	if err := c.fs.Rename(tmp.Name(), filepath.Join(c.dir, key.fileName())); err != nil {
-		c.fs.Remove(tmp.Name())
+	if err := fsio.WriteAtomic(c.fs, filepath.Join(c.dir, key.fileName()), blob); err != nil {
 		c.errs.Add(1)
 		return nil
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -249,8 +251,14 @@ func TestCkptArtifactEncodeDecode(t *testing.T) {
 		t.Fatalf("implausible artifact: fullRun=%v points=%d cks=%d", art.fullRun, len(art.points), len(art.cks))
 	}
 	// Re-encoding the decoded artifact reproduces the file bytes exactly.
-	if re := appendArtifact(nil, key, art); string(re) != string(blob) {
+	if re := encodeArtifact(key, art); string(re) != string(blob) {
 		t.Fatalf("re-encoded artifact differs from stored bytes (%d vs %d)", len(re), len(blob))
+	}
+	// The PSC1 layout is pinned byte for byte, so existing on-disk caches
+	// stay readable: a layout change must bump ckptSchema and this pin.
+	const pin = "9384c1334922333c1188b6d11c05dae6ea1b3f2cf5467edbbc34051bbe4e7d34"
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != pin {
+		t.Errorf("artifact sha256 = %s, want %s", got, pin)
 	}
 	// A different key must be rejected even though the bytes are intact
 	// (this is the filename-hash collision defense).

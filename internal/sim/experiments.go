@@ -140,7 +140,7 @@ const (
 )
 
 // configEntry is one registered named configuration. The registry is the
-// single source of truth RunMatrix, phelps, and phelpsreport share; build
+// single source of truth RunMatrixCtx, phelps, and phelpsreport share; build
 // takes the workload's epoch length because Phelps/BR epochs scale with the
 // workload (see EXPERIMENTS.md).
 type configEntry struct {
@@ -221,7 +221,7 @@ func ConfigByName(name string, epoch uint64) (Config, error) {
 }
 
 // runQuiet runs and keeps only the metrics: figure builders tolerate
-// timed-out or unverified cells (the numbers still render; RunMatrix is the
+// timed-out or unverified cells (the numbers still render; RunMatrixCtx is the
 // error-reporting path).
 func runQuiet(w *prog.Workload, cfg Config) Result {
 	r, _ := Run(w, cfg)
@@ -231,8 +231,8 @@ func runQuiet(w *prog.Workload, cfg Config) Result {
 // Matrix holds results per workload per configuration.
 type Matrix map[string]map[string]Result
 
-// MatrixOptions steers RunMatrixOpt's verification and fault containment.
-// The zero value reproduces plain RunMatrix behavior.
+// MatrixOptions steers RunMatrixCtx's verification and fault containment.
+// The zero value verifies every cell with no extra checks or containment.
 type MatrixOptions struct {
 	// Checks/Lockstep/ForceStep/StallCycles apply the corresponding Config
 	// knobs to every cell (see Config). ForceStep pins the per-cycle oracle
@@ -325,11 +325,12 @@ func RunConfigCellCtx(ctx context.Context, s Spec, label string, cfg Config, opt
 	return RunCtx(ctx, w, cfg)
 }
 
-// RunMatrix runs each workload under each named configuration, spreading
+// RunMatrixCtx runs each workload under each named configuration, spreading
 // workloads across a bounded worker pool (each Spec.Build produces an
 // independent Workload, and Run shares no mutable state between runs, so
 // the results are identical to a serial sweep). Configurations for one
-// workload run serially on its worker.
+// workload run serially on its worker; opt steers verification and fault
+// containment.
 //
 // Every run verifies the workload's architectural results. Per-cell
 // failures (livelock, stall, panic, verification) are joined into the
@@ -337,19 +338,10 @@ func RunConfigCellCtx(ctx context.Context, s Spec, label string, cfg Config, opt
 // ErrPanic / ErrCheck / ErrVerify) — while the Matrix still carries every
 // cell's metrics, so figures can render a partially failed sweep. An unknown
 // configuration name fails the whole call before any simulation starts.
-func RunMatrix(specs []Spec, configs []string) (Matrix, error) {
-	return RunMatrixOpt(specs, configs, MatrixOptions{})
-}
-
-// RunMatrixOpt is RunMatrix with verification and containment options.
-func RunMatrixOpt(specs []Spec, configs []string, opt MatrixOptions) (Matrix, error) {
-	return RunMatrixCtx(context.Background(), specs, configs, opt)
-}
-
-// RunMatrixCtx is RunMatrixOpt under a context: cells already running stop
-// with a wrapped ErrCanceled and cells not yet started are skipped (their
-// error entries also wrap ErrCanceled), so a canceled sweep still returns
-// the cells it finished.
+//
+// Under ctx, cells already running stop with a wrapped ErrCanceled and cells
+// not yet started are skipped (their error entries also wrap ErrCanceled),
+// so a canceled sweep still returns the cells it finished.
 func RunMatrixCtx(ctx context.Context, specs []Spec, configs []string, opt MatrixOptions) (Matrix, error) {
 	for _, c := range configs {
 		if _, err := ConfigByName(c, 0); err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -101,9 +102,9 @@ func TestMatrixAndFormatters(t *testing.T) {
 		Build: func() *prog.Workload { return prog.DelinquentLoop(8000, 50, 1) },
 		Epoch: 4000,
 	}}
-	m, err := RunMatrix(specs, []string{CfgBase, CfgPerfect, CfgPhelps, CfgPhelpsNoStore, CfgBR, CfgBR12w, CfgHalf})
+	m, err := RunMatrixCtx(context.Background(), specs, []string{CfgBase, CfgPerfect, CfgPhelps, CfgPhelpsNoStore, CfgBR, CfgBR12w, CfgHalf}, MatrixOptions{})
 	if err != nil {
-		t.Fatalf("RunMatrix: %v", err)
+		t.Fatalf("RunMatrixCtx: %v", err)
 	}
 	if s := m.Speedup("micro", CfgPerfect); s <= 1.0 {
 		t.Errorf("perfect BP speedup = %.2f, want > 1", s)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -61,7 +62,7 @@ func runGoldenCells(t *testing.T) []goldenCell {
 	t.Helper()
 	var cells []goldenCell
 	for _, suite := range goldenSuites() {
-		m, err := RunMatrix(suite.specs, suite.configs)
+		m, err := RunMatrixCtx(context.Background(), suite.specs, suite.configs, MatrixOptions{})
 		if err != nil {
 			t.Fatalf("%s matrix: %v", suite.name, err)
 		}

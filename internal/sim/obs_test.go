@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -185,9 +186,9 @@ func TestRunMatrixParallelMatchesSerial(t *testing.T) {
 		serial[s.Name] = rows
 	}
 
-	parallel, err := RunMatrix(specs, configs)
+	parallel, err := RunMatrixCtx(context.Background(), specs, configs, MatrixOptions{})
 	if err != nil {
-		t.Fatalf("RunMatrix: %v", err)
+		t.Fatalf("RunMatrixCtx: %v", err)
 	}
 	for _, s := range specs {
 		for _, c := range configs {

@@ -659,7 +659,7 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 		// Cache that verdict so warm runs skip straight to the full run.
 		if sc.Ckpts != nil {
 			art := &ckptArtifact{fullRun: true, totalInsts: total, intervalLen: intervalLen, intervals: len(intervals), halted: e.Halted}
-			if serr := sc.Ckpts.Store(ctx, key, art, appendArtifact(nil, key, art)); serr != nil {
+			if serr := sc.Ckpts.Store(ctx, key, art, encodeArtifact(key, art)); serr != nil {
 				return Result{}, fmt.Errorf("sim: %s (checkpoint store): %w: %v", spec.Name, ErrCanceled, serr)
 			}
 		}
@@ -841,7 +841,7 @@ func sampledRun(ctx context.Context, spec Spec, cfg Config, sc SampleConfig) (Re
 			})
 			art.cks = append(art.cks, p.ck)
 		}
-		blob := appendArtifact(nil, key, art)
+		blob := encodeArtifact(key, art)
 		decoded, derr := decodeArtifact(blob, key)
 		if derr != nil {
 			return Result{}, fmt.Errorf("sim: %s: checkpoint artifact round-trip: %v", spec.Name, derr)

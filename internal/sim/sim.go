@@ -40,7 +40,7 @@ var (
 	// Run (build a fresh Workload per run, or use SampledRun, which takes a
 	// Spec builder and cannot alias consumed state).
 	ErrConsumed = errors.New("workload memory already consumed")
-	// ErrPanic: the simulator panicked mid-run. RunMatrix and SampledRun
+	// ErrPanic: the simulator panicked mid-run. RunMatrixCtx and SampledRun
 	// recover per-experiment panics into this sentinel (with the original
 	// panic value and stack in the wrap), so one crashing cell cannot take
 	// down a whole matrix; a minimized repro is dumped under the crash

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full verification gauntlet: build, vet, all tests, the race-sensitive
-# packages (parallel RunMatrix, the obs collector, and the pooled pipeline
+# packages (parallel RunMatrixCtx, the obs collector, and the pooled pipeline
 # structures under the cycle-exactness golden) under -race, then a bench
 # smoke run so the host-performance suite can't rot.
 set -ex
@@ -36,6 +36,9 @@ go test -race -count=1 \
 # sweep is skipped under -short and pinned without -race below.
 go test -race -short ./internal/serve
 go test -count=1 -run TestFullQuickMatrixOverHTTP ./internal/serve
+# The shared file envelope (codec.Seal/Open, Sum64) and the one atomic write
+# (fsio.WriteAtomic under FaultFS) every durable file goes through.
+go test -race -count=1 ./internal/codec ./internal/fsio
 # Kill-restart chaos harness under -race: a real phelpsd subprocess (itself
 # race-built) SIGKILLed at three randomized points mid-job, restarted on the
 # same journal/cache dirs, and required to finish the job bit-identically
